@@ -152,8 +152,9 @@ class ColumnStore:
     def dimensionality(self) -> int:
         return self.values.shape[1]
 
+    @staticmethod
     def project_point(
-        self, t: UncertainTuple, preference: Optional[Preference] = None
+        t: UncertainTuple, preference: Optional[Preference] = None
     ) -> np.ndarray:
         """One tuple's min-space coordinates, matching the stored columns."""
         return _project_matrix(

@@ -33,7 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.dominance import Preference, dominates
+from ..core.kernels import ColumnStore
 from ..core.probability import observation2_bound
 from ..fault.liveness import LivenessBook
 from ..fault.retry import RetryPolicy
@@ -123,6 +126,12 @@ class EDSUD(Coordinator):
         self.config = config or EDSUDConfig()
         self.expunged_total = 0
         self._seen: List[_SeenTuple] = []
+        #: Key → the first seen entry with that key, for the broadcast
+        #: bookkeeping; ``_seen_points`` row ``i`` holds ``_seen[i]``'s
+        #: min-space coordinates (``None`` until the first admission;
+        #: capacity grows by doubling).
+        self._seen_by_key: Dict[int, _SeenTuple] = {}
+        self._seen_points: Optional[np.ndarray] = None
         self._residents: Dict[int, _Resident] = {}
         self._exhausted: set = set()
 
@@ -138,6 +147,12 @@ class EDSUD(Coordinator):
             return
         if not dominates(q.tuple, r.tuple, self.preference):
             return
+        self._fold_seen(resident, seen)
+
+    def _fold_seen(self, resident: _Resident, seen: _SeenTuple) -> None:
+        """Tighten ``resident`` with ``seen``, known to dominate it."""
+        q = seen.quaternion
+        r = resident.quaternion
         if q.site != r.site:
             factor = observation2_bound(q.local_probability, q.tuple.probability)
             prev = resident.factors.get(q.site)
@@ -152,16 +167,41 @@ class EDSUD(Coordinator):
                     resident.factors[site_id] = exact
 
     def _admit(self, quaternion: Quaternion) -> None:
-        """Install a freshly fetched quaternion as its site's resident."""
+        """Install a freshly fetched quaternion as its site's resident.
+
+        The seen tuples dominating the newcomer are picked by one
+        broadcast compare over their min-space coordinates, then folded
+        in seen order — the same dict updates, in the same order, as
+        testing each seen tuple with :func:`dominates`.
+        """
         resident = _Resident(quaternion=quaternion)
-        for seen in self._seen:
-            self._apply_seen_to(resident, seen)
+        point = ColumnStore.project_point(quaternion.tuple, self.preference)
+        if self._seen_points is not None:
+            seen = self._seen_points[: len(self._seen)]
+            dominating = (seen <= point).all(axis=1) & (seen < point).any(axis=1)
+            key = quaternion.tuple.key
+            for i in np.flatnonzero(dominating):
+                entry = self._seen[i]
+                if entry.quaternion.tuple.key != key:
+                    self._fold_seen(resident, entry)
         entry = _SeenTuple(quaternion=quaternion)
         if self.config.eager_bound_refresh:
             for other in self._residents.values():
                 self._apply_seen_to(other, entry)
-        self._seen.append(entry)
+        self._remember(entry, point)
         self._residents[quaternion.site] = resident
+
+    def _remember(self, entry: _SeenTuple, point: np.ndarray) -> None:
+        points = self._seen_points
+        count = len(self._seen)
+        if points is None or count == len(points):
+            grown = np.empty((max(64, 2 * count), point.shape[0]), dtype=np.float64)
+            if points is not None:
+                grown[:count] = points
+            self._seen_points = points = grown
+        points[count] = point
+        self._seen.append(entry)
+        self._seen_by_key.setdefault(entry.quaternion.tuple.key, entry)
 
     # ------------------------------------------------------------------
     # the iteration policy
@@ -265,10 +305,9 @@ class EDSUD(Coordinator):
             global_probabilities[index] *= factor
             exacts[index][site_id] = factor
         for quaternion, exact in zip(quaternions, exacts):
-            for seen in self._seen:
-                if seen.quaternion.tuple.key == quaternion.tuple.key:
-                    seen.exact_factors = exact
-                    break
+            seen = self._seen_by_key.get(quaternion.tuple.key)
+            if seen is not None:
+                seen.exact_factors = exact
             if self.config.reuse_probe_factors and self.config.eager_bound_refresh:
                 entry = _SeenTuple(quaternion=quaternion, exact_factors=exact)
                 for other in self._residents.values():

@@ -192,9 +192,11 @@ class LocalSite:
         self._q_alive = np.zeros(0, dtype=bool)
         self._q_bounds = np.zeros(0, dtype=np.float64)
         self._q_values: Optional[np.ndarray] = None
-        # Columnar view of the whole partition for un-indexed probes;
-        # rebuilt lazily after §5.4 updates.
-        self._columns: Optional[ColumnStore] = None
+        #: Shared box holding the columnar view of the whole partition
+        #: for un-indexed probes; rebuilt lazily after §5.4 updates.  A
+        #: box like ``_table_box``, so forks share one view and an
+        #: update's invalidation reaches them.
+        self._columns_box: Dict[str, ColumnStore] = {}
         self._feedback: List[UncertainTuple] = []
         #: Replica of the global result set for §5.4 updates: key →
         #: (tuple, global skyline probability).  Replicating SKY(H) at
@@ -210,6 +212,14 @@ class LocalSite:
         #: threshold.  §5.4 updates clear it (in place, so every fork
         #: sees the invalidation).
         self._skyline_cache: Optional[Dict[float, ProbabilisticSkyline]] = None
+        #: Optional shared Eq. 9 memo: probed tuple → factor, one dict
+        #: per call form (``probe`` / ``probe_batch``).  ``None`` (the
+        #: solo default) probes the backend every time.  Installed and
+        #: shared exactly like ``_skyline_cache``; a factor depends
+        #: only on the stored partition and the probed tuple, never on
+        #: the session, so a hit returns the float a miss would compute.
+        self._probe_memo: Optional[Dict[UncertainTuple, float]] = None
+        self._probe_batch_memo: Optional[Dict[UncertainTuple, float]] = None
 
     # ------------------------------------------------------------------
     # local computing phase
@@ -346,23 +356,44 @@ class LocalSite:
         return ProbabilisticSkyline(threshold, members)
 
     def enable_skyline_cache(self) -> None:
-        """Memoize ``prepare``'s local skyline per threshold.
+        """Memoize ``prepare``'s local skyline per threshold and Eq. 9
+        probe factors per probed tuple.
 
         Meant for standing sites serving many queries; forks created
-        afterwards share the cache, so one computation serves every
-        session at the same threshold.
+        afterwards share both memos, so one computation serves every
+        session at the same threshold or probing the same tuple.
         """
         if self._skyline_cache is None:
             self._skyline_cache = {}
+        if self._probe_memo is None:
+            self._probe_memo = {}
+            # The flat columnar scan folds a single probe over the
+            # masked rows and a batch over an (n, b) matrix; nothing
+            # promises those two reductions round alike, so each call
+            # form keeps its own memo there.  Every other backend's
+            # batch is a loop over the single probe.
+            columnar = (
+                not self.config.all_probs_table
+                and self.tree is None
+                and self.config.vectorized
+            )
+            self._probe_batch_memo = {} if columnar else self._probe_memo
+
+    def _invalidate(self) -> None:
+        """§5.4: drop derived state, in place so every fork observes it."""
+        self._columns_box.clear()
+        for memo in (self._skyline_cache, self._probe_memo, self._probe_batch_memo):
+            if memo is not None:
+                memo.clear()
 
     def fork(self) -> "LocalSite":
         """A per-session view over this site's partition.
 
         The fork shares everything a query only *reads* — the database
         dict, the PR-tree/grid index, the columnar partition view, and
-        the skyline cache — and owns everything a query *mutates*: the
-        candidate queue (cursor, alive mask, bounds, values), feedback
-        history, and pop/prune accounting.  Two forks therefore run
+        the skyline and probe memos — and owns everything a query
+        *mutates*: the candidate queue (cursor, alive mask, bounds,
+        values), feedback history, and pop/prune accounting.  Two forks therefore run
         concurrent queries over one stored partition without observing
         each other, and each is bit-identical to a fresh
         :class:`LocalSite` over the same data.  Forks are for serving
@@ -382,11 +413,13 @@ class LocalSite:
         clone._q_alive = np.zeros(0, dtype=bool)
         clone._q_bounds = np.zeros(0, dtype=np.float64)
         clone._q_values = None
-        clone._columns = self._columns
+        clone._columns_box = self._columns_box
         clone._table_box = self._table_box
         clone._feedback = []
         clone.sky_h_replica = {}
         clone._skyline_cache = self._skyline_cache
+        clone._probe_memo = self._probe_memo
+        clone._probe_batch_memo = self._probe_batch_memo
         return clone
 
     # ------------------------------------------------------------------
@@ -494,14 +527,24 @@ class LocalSite:
     # ------------------------------------------------------------------
 
     def _partition_columns(self) -> ColumnStore:
-        if self._columns is None:
-            self._columns = ColumnStore.from_tuples(
+        store = self._columns_box.get("store")
+        if store is None:
+            store = self._columns_box["store"] = ColumnStore.from_tuples(
                 list(self.database.values()), self.preference
             )
-        return self._columns
+        return store
 
     def probe(self, t: UncertainTuple) -> float:
         """Eq. 9: the exact factor this site contributes for foreign ``t``."""
+        memo = self._probe_memo
+        if memo is None:
+            return self._probe_uncached(t)
+        factor = memo.get(t)
+        if factor is None:
+            factor = memo[t] = self._probe_uncached(t)
+        return factor
+
+    def _probe_uncached(self, t: UncertainTuple) -> float:
         if self.config.all_probs_table:
             return float(
                 self._ensure_table().dominator_product(
@@ -518,8 +561,22 @@ class LocalSite:
         return foreign_skyline_probability(t, self.database.values(), self.preference)
 
     def probe_batch(self, ts: Sequence[UncertainTuple]) -> List[float]:
-        """Eq. 9 for many foreign tuples at once (one kernel dispatch)."""
+        """Eq. 9 for many foreign tuples at once (one kernel dispatch).
+
+        With the probe memo on, only the tuples it misses reach the
+        kernel.  Each factor of a batch is computed independently of
+        the others, so a smaller batch yields the same floats.
+        """
         ts = list(ts)
+        memo = self._probe_batch_memo
+        if memo is None:
+            return self._probe_batch_uncached(ts)
+        misses = [t for t in dict.fromkeys(ts) if t not in memo]
+        if misses:
+            memo.update(zip(misses, self._probe_batch_uncached(misses)))
+        return [memo[t] for t in ts]
+
+    def _probe_batch_uncached(self, ts: List[UncertainTuple]) -> List[float]:
         if self.config.all_probs_table and ts:
             index = self._ensure_table()
             points = np.stack([self._table_point(t) for t in ts])
@@ -541,7 +598,7 @@ class LocalSite:
                 points, exclude_keys=[t.key for t in ts]
             )
             return [float(f) for f in factors]
-        return [self.probe(t) for t in ts]
+        return [self._probe_uncached(t) for t in ts]
 
     def apply_feedback(self, t: UncertainTuple) -> int:
         """Local-Pruning phase: expunge candidates the feedback disqualifies.
@@ -636,9 +693,7 @@ class LocalSite:
         if t.key in self.database:
             raise ValueError(f"tuple {t.key} already stored at site {self.site_id}")
         self.database[t.key] = t
-        self._columns = None
-        if self._skyline_cache is not None:
-            self._skyline_cache.clear()
+        self._invalidate()
         index = self._table_box.get("index")
         if index is not None:
             if len(index) == 0 or index.dimensionality != len(t.values):
@@ -655,9 +710,7 @@ class LocalSite:
         t = self.database.pop(key, None)
         if t is None:
             raise KeyError(f"tuple {key} not stored at site {self.site_id}")
-        self._columns = None
-        if self._skyline_cache is not None:
-            self._skyline_cache.clear()
+        self._invalidate()
         index = self._table_box.get("index")
         if index is not None:
             index.apply_delete(key)

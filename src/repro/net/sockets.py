@@ -137,9 +137,10 @@ class SiteServer(socketserver.ThreadingTCPServer):
     independent queue/feedback state over the same partition (the
     remote twin of :class:`repro.serve.sites.SharedSiteHost`).  Enable
     the template's skyline cache first so forks amortise the local
-    computing phase.  ``rpc_delay`` adds a per-RPC service-time sleep —
-    a deterministic stand-in for WAN latency, used by the serving
-    bench to make socket-wait overlap measurable on localhost.
+    computing phase and repeated probes.  ``rpc_delay`` adds a
+    per-RPC service-time sleep — a deterministic stand-in for WAN
+    latency, used by the serving bench to make socket-wait overlap
+    measurable on localhost.
     """
 
     allow_reuse_address = True
@@ -329,9 +330,23 @@ class SiteCluster:
     def close(self) -> None:
         for proxy in self.proxies:
             proxy.close()
-        for server in self.servers:
-            server.shutdown()
-            server.server_close()
+        _shutdown_servers(self.servers)
+
+
+def _shutdown_servers(servers: Sequence[SiteServer]) -> None:
+    """Stop every server at once, then close their sockets.
+
+    ``shutdown()`` blocks until ``serve_forever`` notices the request,
+    up to one 0.5 s poll; issuing all of them concurrently makes a
+    cluster's teardown cost one poll, not one per site.
+    """
+    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join()
+    for server in servers:
+        server.server_close()
 
 
 def host_sites(
@@ -362,9 +377,7 @@ def host_sites(
     except Exception:
         for proxy in proxies:
             proxy.close()
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+        _shutdown_servers(servers)
         raise
     return SiteCluster(servers, proxies)
 
@@ -379,6 +392,22 @@ def _serve_partition_process(
     port_queue: "multiprocessing.Queue[int]",
 ) -> None:
     """Child-process entry point: host one partition until terminated."""
+    server = _standing_server(
+        site_id, partition, preference, site_config, fork_per_connection, rpc_delay
+    )
+    port_queue.put(server.address[1])
+    server.serve_forever()
+
+
+def _standing_server(
+    site_id: int,
+    partition: Sequence[UncertainTuple],
+    preference: Optional[Preference] = None,
+    site_config: "Optional[SiteConfig]" = None,
+    fork_per_connection: bool = True,
+    rpc_delay: float = 0.0,
+) -> SiteServer:
+    """The (not yet serving) server a site process hosts its partition on."""
     from ..distributed.site import LocalSite
 
     site = LocalSite(
@@ -386,13 +415,12 @@ def _serve_partition_process(
     )
     if fork_per_connection:
         # Standing template: one local-computing phase serves every
-        # session at the same threshold, across connections.
+        # session at the same threshold, and one Eq. 9 probe every
+        # session probing the same tuple, across connections.
         site.enable_skyline_cache()
-    server = SiteServer(
+    return SiteServer(
         site, fork_per_connection=fork_per_connection, rpc_delay=rpc_delay
     )
-    port_queue.put(server.address[1])
-    server.serve_forever()
 
 
 class ProcessSiteCluster:

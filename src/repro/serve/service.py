@@ -21,7 +21,8 @@ each session stays bit-identical to the same spec run solo (the
 exactness suites pin this, sync and async alike).  The only shared
 query-path state is deliberately one-way:
 
-* the hosts' skyline memo (an answer cache — hit or miss, same bytes),
+* the hosts' skyline and probe memos (answer caches — hit or miss,
+  same bytes),
 * the :class:`~repro.fault.liveness.LivenessBook`, advanced once per
   scheduling pass so all *fault-free* sessions share one liveness
   probe per dead endpoint per pass.  Sessions running a private chaos
@@ -149,6 +150,9 @@ class SkylineService:
         self._work = asyncio.Event()
         self._space = asyncio.Event()
         self._space.set()
+        #: Set while nothing is queued or running; ``drain()`` waits on it.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._stopping = False
         self._scheduler_task: Optional["asyncio.Task[None]"] = None
 
@@ -233,13 +237,19 @@ class SkylineService:
             await self._space.wait()
         session = await self._build_session(spec)
         self._pending.append(session)
+        self._idle.clear()
         self._work.set()
         return session
 
     async def drain(self) -> List[QuerySession]:
-        """Wait until nothing is queued or running; returns all sessions."""
+        """Wait until nothing is queued or running; returns all sessions.
+
+        Sleeps on an event the scheduler sets when its queue and run
+        list empty, so a drain costs a wakeup per idle point, not one
+        per loop iteration.
+        """
         while self._pending or self._running:
-            await asyncio.sleep(0)
+            await self._idle.wait()
         return self.finished
 
     # ------------------------------------------------------------------
@@ -531,6 +541,8 @@ class SkylineService:
                 continue
             await self._admit()
             await self._step_all()
+            if not self._pending and not self._running:
+                self._idle.set()
             if self._stream_publishable():
                 await self.publish()
             await asyncio.sleep(0)

@@ -10,8 +10,9 @@ only needs its own *candidate queue* over them.
   :meth:`~repro.distributed.site.LocalSite.fork` views.  Templates are
   cached per :class:`~repro.core.dominance.Preference` (dominance
   direction/subspace changes the index and the local skyline), each
-  with the shared ``prepare`` memo enabled — so N concurrent sessions
-  at the same threshold cost one local-skyline computation, not N.
+  with the shared ``prepare`` and probe memos enabled — so N concurrent
+  sessions at the same threshold cost one local-skyline computation,
+  not N, and a tuple probed by many sessions costs one Eq. 9 probe.
 * :class:`StandingReplicaBook` plays the same trick for replication:
   instead of re-shipping every partition to its buddies per query, a
   session's :class:`~repro.replica.manager.ReplicaManager` is injected
@@ -22,7 +23,7 @@ only needs its own *candidate queue* over them.
   provisioning bills the manager's *standing* ledger, never the query.
 
 Hosts serve reads.  §5.4 maintenance must be applied to the templates
-(which clears their shared skyline caches) between queries, never to a
+(which clears their shared memos) between queries, never to a
 session fork.
 """
 
@@ -71,8 +72,8 @@ class SharedSiteHost:
 
         Bit-identical to ``LocalSite(site_id, partition, preference,
         config)`` — the constructor a solo run uses — plus the shared
-        skyline memo, which never changes an answer, only skips
-        recomputation.
+        skyline and probe memos, which never change an answer, only
+        skip recomputation.
         """
         site = self._templates.get(preference)
         if site is None:

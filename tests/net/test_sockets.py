@@ -256,6 +256,18 @@ class TestEndToEnd:
         s.bind(("127.0.0.1", port))
         s.close()
 
+    def test_cluster_closes_its_servers_in_parallel(self):
+        """Each server's shutdown waits out one 0.5 s serve_forever
+        poll; stopping them together costs one poll, not four."""
+        import time
+
+        db = make_random_database(80, 2, seed=4)
+        cluster = host_sites([db[i::4] for i in range(4)])
+        start = time.perf_counter()
+        cluster.close()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.2, f"closing 4 sites took {elapsed:.2f}s"
+
 
 class TestProcessHosting:
     """Site servers in their own OS processes (the distributed deploy)."""

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import asyncio
-from typing import List
+import types
+from typing import Any, Awaitable, Generator, List, Tuple
 
 import pytest
 
@@ -104,6 +105,41 @@ def test_full_queue_blocks_then_admits_when_asked_to_wait():
 
     states = asyncio.run(drive())
     assert states == [SessionState.FINISHED] * 4
+
+
+@types.coroutine
+def _counting_suspensions(awaitable: Awaitable[Any], box: List[int]) -> Generator[Any, Any, Any]:
+    """Await ``awaitable``, counting each time it suspends to the loop."""
+    inner = awaitable.__await__()
+    sent = None
+    while True:
+        try:
+            yielded = inner.send(sent)
+        except StopIteration as stop:
+            return stop.value
+        box[0] += 1
+        sent = yield yielded
+
+
+def test_drain_sleeps_instead_of_polling():
+    async def drive() -> Tuple[int, int, List[SessionState]]:
+        policy = AdmissionPolicy(max_inflight=2, max_queued=8)
+        async with SkylineService(PARTITIONS, policy=policy) as service:
+            sessions = [
+                await service.submit(QuerySpec(threshold=0.2, algorithm=algorithm))
+                for algorithm in ("dsud", "edsud", "dsud")
+            ]
+            wakeups = [0]
+            await _counting_suspensions(service.drain(), wakeups)
+            assert not service.queue_depth and not service.inflight
+        return wakeups[0], service.passes, [s.state for s in sessions]
+
+    wakeups, passes, states = asyncio.run(drive())
+    assert states == [SessionState.FINISHED] * 3
+    # Many scheduling passes, one wait: a sleep(0) poll would suspend
+    # at least once per pass.
+    assert passes >= 10
+    assert wakeups <= 2
 
 
 def test_submitting_to_a_stopped_service_is_an_error():
